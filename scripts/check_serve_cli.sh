@@ -70,6 +70,18 @@ expect_reject "duplicate --trace-file"    --trace-file=a.csv --trace-file=b.csv
 expect_reject "bogus --trace-format"      --trace-file=a --trace-format=xml
 expect_reject "--trace-format alone"      --trace-format=csv
 expect_reject "negative --queue-cadence-ms" --queue-cadence-ms=-1
+# Out-of-range and non-finite numbers: the overflowing counts used to
+# wrap to 2^64-1 and abort in the lookup-slot allocation, the nan/inf
+# reals used to run to exit 0 and print nan tables.
+expect_reject "overflowing --lookups"     --lookups=99999999999999999999999 --rates=2000
+expect_reject "overflowing --hot-keys"    --hot-keys=99999999999999999999999
+expect_reject "signed --lookups"          --lookups=+400
+expect_reject "nan --hop-ms"              --hop-ms=nan
+expect_reject "nan rate"                  --rates=nan
+expect_reject "infinite rate"             --rates=inf
+expect_reject "nan --zipf"                --zipf=nan
+expect_reject "nan --timeout-ms"          --timeout-ms=nan
+expect_reject "nan --queue-cadence-ms"    --queue-cadence-ms=nan
 
 expect_ok "--help exits 0"           --help
 expect_ok "--list-policies exits 0"  --list-policies

@@ -66,6 +66,12 @@ expect_reject "crash cannot heal"               --fault-plan=crash@10+5:0.2,0.1
 expect_reject "partition loss out of range"     --fault-plan=partition@10+5:0.0,0.2,0.5,0.2,1.5
 expect_reject "slow multiplier below 1"         --fault-plan=slow@10+5:0.2,0.1,0.5
 expect_reject "trailing fault separator"        --fault-plan='crash@10:0.2,0.1;'
+expect_reject "nan fault injection time"        --fault-plan=slow@nan+100:0.5,0.2,5
+expect_reject "nan fault duration"              --fault-plan=partition@100+nan:0.0,0.2,0.5,0.2
+expect_reject "infinite fault duration"         --fault-plan=slow@100+inf:0.5,0.2,5
+expect_reject "nan --maintenance-cadence-ms"    --maintenance-cadence-ms=nan
+expect_reject "nan --queue-cadence-ms"          --queue-cadence-ms=nan
+expect_reject "overflowing --queue-cadence-ms"  --queue-cadence-ms=1e999
 expect_reject "unknown flag"                    --frobnicate
 expect_reject "unknown scenario"                no-such-scenario
 expect_reject "unknown scenario after valid"    baseline no-such-scenario

@@ -19,12 +19,12 @@
 namespace oscar {
 namespace {
 
+/// An unsigned env knob; unset, empty, signed, overflowing or garbage
+/// values all fall back to the default.
 uint64_t EnvOrDefault(const char* name, uint64_t fallback) {
   const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  return (end == nullptr || *end != '\0') ? fallback : parsed;
+  uint64_t parsed = 0;
+  return value != nullptr && ParseUint64(value, &parsed) ? parsed : fallback;
 }
 
 }  // namespace
@@ -162,15 +162,14 @@ Result<std::vector<SearchCostRow>> RunSearchCostVsSize(
       // between churn levels are then structural, not sampling noise.
       const uint64_t eval_seed = rng->Next();
       // One freeze serves every row: the 0% row routes straight over
-      // the frozen snapshot (the routers' CSR fast path; identical
-      // routes by the view-equivalence contract), and each churn level
-      // crashes a delta-restore of it — RestoreInto repairs only the
-      // peers the previous level's crashes touched, and CrashFraction
-      // batches its ring removals — then refreezes the crashed scratch
-      // so the evaluation itself also rides the CSR steppers. Every
-      // row stays byte-identical to the historical deep-copy
-      // evaluation (guarded by topology_snapshot_test and
-      // csr_stepper_test).
+      // the frozen snapshot (identical routes by the view-equivalence
+      // contract), and each churn level crashes a delta-restore of it
+      // — RestoreInto repairs only the peers the previous level's
+      // crashes touched, and CrashFraction batches its ring removals —
+      // then refreezes the crashed scratch so the evaluation reads the
+      // snapshot's precomputed ring positions. Every row stays
+      // byte-identical to the historical deep-copy evaluation (guarded
+      // by topology_snapshot_test and csr_stepper_test).
       std::optional<TopologySnapshot> frozen;
       Network scratch;  // Recycled across churn levels via RestoreInto.
       for (const double churn : churn_fractions) {

@@ -96,6 +96,12 @@ class Network {
   /// Long in-links currently held against `id` (== InLinks(id).size()).
   uint32_t in_degree(PeerId id) const { return in_count_[id]; }
 
+  /// Base pointers of the per-peer attribute arrays, indexed by PeerId
+  /// (NetworkView's hot-loop reads). Valid until the next Join/JoinMany.
+  const KeyId* keys_data() const { return keys_.data(); }
+  const DegreeCaps* caps_data() const { return caps_.data(); }
+  const uint8_t* alive_data() const { return alive_.data(); }
+
   /// Long out-links of `id` in insertion order (may dangle to dead
   /// peers). Valid until the next Join/JoinMany (slab growth may move
   /// the underlying storage).

@@ -3,9 +3,16 @@
 // value type (two pointers) constructed implicitly from either backend,
 // so every read-side consumer (routers, steppers, samplers, size
 // estimators, structural metrics) is written once and runs unchanged
-// against a growing network or a shared snapshot. Dispatch is a single
-// predictable branch per call; both backends expose the same Ring, so
-// ring queries are forwarded without translation.
+// against a growing network or a shared snapshot.
+//
+// Both backends store keys, caps and liveness as flat PeerId-indexed
+// arrays of the same types, so hot loops fetch the base pointers once
+// (keys_data/caps_data/alive_data) and index them without any further
+// dispatch. The only reads that genuinely differ are a peer's ring
+// position (a precomputed table on a snapshot, one Ring::IndexOf on a
+// live network) and its link spans; RingPos and Row resolve those once
+// per call, and everything else — ring neighbors, neighbor order — is
+// composed here from them, so the two backends cannot drift apart.
 //
 // A view does not own its backend: it is valid only while the Network
 // or TopologySnapshot it was built from is alive, and reads through a
@@ -25,32 +32,68 @@
 
 namespace oscar {
 
+/// The neighborhood of one peer, resolved once: its ring successor and
+/// predecessor plus its two link spans. ForEach visits the routing
+/// neighbors — successor, predecessor when distinct, then long
+/// out-links in stored order (possibly dead) — and ForEachWalk appends
+/// the in-links, the undirected gossip neighborhood random walks use
+/// (walking only out-links concentrates the stationary distribution on
+/// already-popular peers). Routers are order-sensitive, so this order
+/// is part of the contract. The spans are valid while the backend is
+/// unmodified.
+struct NeighborRow {
+  PeerId succ = 0;
+  PeerId pred = 0;
+  uint32_t ring_neighbors = 0;  // 0 (off ring / lone peer), 1 or 2.
+  PeerSpan out;
+  PeerSpan in;
+
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    if (ring_neighbors > 0) fn(succ);
+    if (ring_neighbors > 1) fn(pred);
+    for (PeerId target : out) fn(target);
+  }
+  template <typename Fn>
+  void ForEachWalk(Fn&& fn) const {
+    ForEach(fn);
+    for (PeerId source : in) fn(source);
+  }
+};
+
 class NetworkView {
  public:
+  /// RingPos of a peer with no ring neighbors.
+  static constexpr uint32_t kNotOnRing = TopologySnapshot::kNotOnRing;
+
   // Implicit by design: every `const Network&` read signature upgraded
   // to NetworkView keeps its call sites source-compatible.
   NetworkView(const Network& net) : net_(&net) {}           // NOLINT
   NetworkView(const TopologySnapshot& snap) : snap_(&snap) {}  // NOLINT
 
   /// The frozen backend, or nullptr when this view reads a live
-  /// Network. Routers use it to swap in the CSR-specialized steppers —
-  /// a frozen snapshot cannot change mid-route, so the flat arrays can
-  /// be read without per-call dispatch.
+  /// Network. No read path branches on it; it lets an observer label
+  /// which backend a call ran against.
   const TopologySnapshot* snapshot() const { return snap_; }
 
   size_t size() const { return net_ ? net_->size() : snap_->size(); }
   size_t alive_count() const { return ring().size(); }
   const Ring& ring() const { return net_ ? net_->ring() : snap_->ring(); }
 
-  KeyId key(PeerId id) const {
-    return net_ ? net_->key(id) : snap_->key(id);
+  /// PeerId-indexed attribute arrays: fetch once, index in the loop.
+  const KeyId* keys_data() const {
+    return net_ ? net_->keys_data() : snap_->keys_data();
   }
-  bool alive(PeerId id) const {
-    return net_ ? net_->alive(id) : snap_->alive(id);
+  const DegreeCaps* caps_data() const {
+    return net_ ? net_->caps_data() : snap_->caps_data();
   }
-  DegreeCaps caps(PeerId id) const {
-    return net_ ? net_->caps(id) : snap_->caps(id);
+  const uint8_t* alive_data() const {
+    return net_ ? net_->alive_data() : snap_->alive_data();
   }
+
+  KeyId key(PeerId id) const { return keys_data()[id]; }
+  bool alive(PeerId id) const { return alive_data()[id] != 0; }
+  DegreeCaps caps(PeerId id) const { return caps_data()[id]; }
 
   /// Long out-links of `id` in stored order (may dangle to dead peers).
   PeerSpan OutLinks(PeerId id) const {
@@ -61,14 +104,50 @@ class NetworkView {
     return net_ ? net_->InLinks(id) : snap_->InLinks(id);
   }
 
+  /// Position of `id` in ring order, or kNotOnRing when `id` is dead or
+  /// the ring holds fewer than 2 peers (a lone peer has no neighbors).
+  uint32_t RingPos(PeerId id) const {
+    if (snap_ != nullptr) {
+      return snap_->ring().size() < 2 ? kNotOnRing : snap_->ring_pos(id);
+    }
+    const Ring& ring = net_->ring();
+    if (!net_->alive(id) || ring.size() < 2) return kNotOnRing;
+    const auto index = ring.IndexOf(net_->key(id), id);
+    return index.has_value() ? static_cast<uint32_t>(*index) : kNotOnRing;
+  }
+
+  /// The neighborhood of `id` (see NeighborRow), resolved with one
+  /// RingPos.
+  NeighborRow Row(PeerId id) const {
+    NeighborRow row;
+    const uint32_t pos = RingPos(id);
+    if (pos != kNotOnRing) {
+      const Ring& r = ring();
+      const size_t n = r.size();
+      row.succ = r.at((pos + 1) % n).id;
+      row.pred = r.at((pos + n - 1) % n).id;
+      row.ring_neighbors = row.pred != row.succ ? 2 : 1;
+    }
+    row.out = OutLinks(id);
+    row.in = InLinks(id);
+    return row;
+  }
+
   std::optional<PeerId> OwnerOf(KeyId target) const {
     return ring().OwnerOf(target);
   }
+  /// Next/previous alive peer on the ring; nullopt when `id` is dead or
+  /// the only alive peer.
   std::optional<PeerId> SuccessorOf(PeerId id) const {
-    return net_ ? net_->SuccessorOf(id) : snap_->SuccessorOf(id);
+    const uint32_t pos = RingPos(id);
+    if (pos == kNotOnRing) return std::nullopt;
+    return ring().at((pos + 1) % ring().size()).id;
   }
   std::optional<PeerId> PredecessorOf(PeerId id) const {
-    return net_ ? net_->PredecessorOf(id) : snap_->PredecessorOf(id);
+    const uint32_t pos = RingPos(id);
+    if (pos == kNotOnRing) return std::nullopt;
+    const size_t n = ring().size();
+    return ring().at((pos + n - 1) % n).id;
   }
 
   /// Alive peers in ring (clockwise key) order — composed from the
@@ -78,27 +157,6 @@ class NetworkView {
     out.reserve(ring().size());
     for (const Ring::Entry& entry : ring().entries()) out.push_back(entry.id);
     return out;
-  }
-
-  /// Appends the routing neighbors of `id`: ring successor and
-  /// predecessor (when distinct, always alive) followed by long
-  /// out-links in stored order (possibly dead). Composed here, once,
-  /// from the backend primitives so the two backends can never drift
-  /// apart in element order — routers are order-sensitive.
-  void AppendNeighbors(PeerId id, std::vector<PeerId>* out) const {
-    const auto succ = SuccessorOf(id);
-    const auto pred = PredecessorOf(id);
-    if (succ.has_value()) out->push_back(*succ);
-    if (pred.has_value() && pred != succ) out->push_back(*pred);
-    for (PeerId target : OutLinks(id)) out->push_back(target);
-  }
-  /// Appends the undirected gossip neighborhood of `id`: routing
-  /// neighbors plus the peers holding long links TO `id`. Random walks
-  /// use this symmetric view — walking only out-links concentrates the
-  /// stationary distribution on already-popular peers.
-  void AppendWalkNeighbors(PeerId id, std::vector<PeerId>* out) const {
-    AppendNeighbors(id, out);
-    for (PeerId source : InLinks(id)) out->push_back(source);
   }
 
  private:

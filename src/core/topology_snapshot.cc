@@ -72,16 +72,6 @@ TopologySnapshot::TopologySnapshot(const Network& net)
   }
 }
 
-std::optional<PeerId> TopologySnapshot::RingNeighbor(PeerId id,
-                                                     bool clockwise) const {
-  if (!alive(id) || ring_.size() < 2) return std::nullopt;
-  const uint32_t pos = ring_pos_[id];
-  if (pos == kNotOnRing) return std::nullopt;
-  const size_t n = ring_.size();
-  const size_t next = clockwise ? (pos + 1) % n : (pos + n - 1) % n;
-  return ring_.at(next).id;
-}
-
 Status TopologySnapshot::Validate() const {
   const size_t n = keys_.size();
   if (caps_.size() != n || alive_.size() != n || ring_pos_.size() != n) {

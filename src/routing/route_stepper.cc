@@ -20,6 +20,9 @@ void GreedyStepper::Start(NetworkView net, PeerId source, KeyId target) {
 }
 
 RouteStep GreedyStepper::Step(NetworkView net) {
+  const KeyId* keys = net.keys_data();
+  const uint8_t* alive = net.alive_data();
+  const DegreeCaps* caps = net.caps_data();
   RouteStep step;
   step.from = current_;
   const auto owner = net.OwnerOf(target_);
@@ -30,21 +33,20 @@ RouteStep GreedyStepper::Step(NetworkView net) {
     step.kind = StepKind::kArrived;
     return step;
   }
-  neighbors_.clear();
-  net.AppendNeighbors(current_, &neighbors_);
-  const uint64_t here = RingDistance(net.key(current_), target_);
+  const NeighborRow row = net.Row(current_);
+  const uint64_t here = RingDistance(keys[current_], target_);
   bool moved = false;
   PeerId best = current_;
   uint64_t best_distance = here;
-  for (PeerId candidate : neighbors_) {
-    if (!net.alive(candidate)) continue;  // Dead probes charged lazily below.
-    const uint64_t d = RingDistance(net.key(candidate), target_);
+  row.ForEach([&](PeerId candidate) {
+    if (!alive[candidate]) return;  // Dead probes charged lazily below.
+    const uint64_t d = RingDistance(keys[candidate], target_);
     if (d < best_distance) {
       best = candidate;
       best_distance = d;
       moved = true;
     }
-  }
+  });
   if (!moved) {  // No strict progress: substrate violation.
     result_.terminal = current_;
     result_.success = owner.has_value() && current_ == *owner;
@@ -59,24 +61,23 @@ RouteStep GreedyStepper::Step(NetworkView net) {
       best_distance + best_distance / 2 < best_distance
           ? UINT64_MAX
           : best_distance + best_distance / 2;
-  for (PeerId candidate : neighbors_) {
-    if (!net.alive(candidate) || candidate == best) continue;
-    const uint64_t d = RingDistance(net.key(candidate), target_);
-    if (d < here && d <= band &&
-        net.caps(candidate).max_in > net.caps(best).max_in) {
+  row.ForEach([&](PeerId candidate) {
+    if (!alive[candidate] || candidate == best) return;
+    const uint64_t d = RingDistance(keys[candidate], target_);
+    if (d < here && d <= band && caps[candidate].max_in > caps[best].max_in) {
       best = candidate;
     }
-  }
-  best_distance = RingDistance(net.key(best), target_);
+  });
+  best_distance = RingDistance(keys[best], target_);
   // Charge probes for dead long links that looked strictly better than
   // the hop we ended up taking (the peer would have tried them first).
-  for (PeerId candidate : neighbors_) {
-    if (!net.alive(candidate) &&
-        RingDistance(net.key(candidate), target_) < best_distance) {
+  row.ForEach([&](PeerId candidate) {
+    if (!alive[candidate] &&
+        RingDistance(keys[candidate], target_) < best_distance) {
       ++result_.wasted;
       ++step.dead_probes;
     }
-  }
+  });
   current_ = best;
   ++result_.hops;
   result_.path.push_back(current_);
@@ -133,13 +134,12 @@ RouteStep BacktrackingStepper::Step(NetworkView net) {
     step.kind = StepKind::kArrived;
     return step;
   }
-  neighbors_.clear();
-  net.AppendNeighbors(current, &neighbors_);
+  const KeyId* keys = net.keys_data();
+  const uint8_t* alive = net.alive_data();
   ordered_.clear();
-  for (PeerId candidate : neighbors_) {
-    ordered_.emplace_back(RingDistance(net.key(candidate), target_),
-                          candidate);
-  }
+  net.Row(current).ForEach([&](PeerId candidate) {
+    ordered_.emplace_back(RingDistance(keys[candidate], target_), candidate);
+  });
   std::sort(ordered_.begin(), ordered_.end());
 
   PeerId next = current;
@@ -147,7 +147,7 @@ RouteStep BacktrackingStepper::Step(NetworkView net) {
   for (const auto& [distance, candidate] : ordered_) {
     (void)distance;
     if (visited_.count(candidate) != 0) continue;
-    if (!net.alive(candidate)) {
+    if (!alive[candidate]) {
       // First probe of a dead neighbor costs a message; remember it so
       // revisits after backtracking don't double-charge.
       if (probed_dead_.insert(candidate).second) {

@@ -9,6 +9,13 @@
 // driving these steppers to completion with the routers' historical
 // message budgets, so whole-path results are unchanged by construction;
 // the stepper-vs-route equivalence test guards the property.
+//
+// Each stepper is the one implementation for both topology backends:
+// Step reads a NetworkView's flat key/caps/alive arrays and one
+// resolved NeighborRow per call, so a route over a live Network and
+// one over its frozen TopologySnapshot take the same code path (the
+// backend lockstep test in csr_stepper_test holds them to per-step
+// equality anyway).
 
 #ifndef OSCAR_ROUTING_ROUTE_STEPPER_H_
 #define OSCAR_ROUTING_ROUTE_STEPPER_H_
@@ -80,8 +87,10 @@ class RouteStepper {
 using RouteStepperPtr = std::unique_ptr<RouteStepper>;
 
 /// The GreedyRouter algorithm, one hop per Step (capacity-aware band
-/// relaxation and lazy dead-probe charging included).
-class GreedyStepper : public RouteStepper {
+/// relaxation and lazy dead-probe charging included). Final so a
+/// caller holding the concrete type (LoadGenerator's per-worker
+/// steppers) gets direct, inlinable calls.
+class GreedyStepper final : public RouteStepper {
  public:
   void Start(NetworkView net, PeerId source, KeyId target) override;
   RouteStep Step(NetworkView net) override;
@@ -92,19 +101,16 @@ class GreedyStepper : public RouteStepper {
   PeerId current() const override { return current_; }
   std::string name() const override { return "greedy"; }
 
- protected:
-  // Shared with CsrGreedyStepper (routing/csr_stepper.h), which reuses
-  // Start/Abandon/FailDelivery and overrides only the hot Step.
+ private:
   RouteResult result_;
   KeyId target_;
   PeerId current_ = 0;
   bool done_ = true;
-  std::vector<PeerId> neighbors_;  // Scratch, reused across steps.
 };
 
 /// The BacktrackingRouter algorithm (fault-aware depth-first greedy),
 /// one forward or backtrack move per Step.
-class BacktrackingStepper : public RouteStepper {
+class BacktrackingStepper final : public RouteStepper {
  public:
   void Start(NetworkView net, PeerId source, KeyId target) override;
   RouteStep Step(NetworkView net) override;
@@ -117,8 +123,7 @@ class BacktrackingStepper : public RouteStepper {
   }
   std::string name() const override { return "backtracking"; }
 
- protected:
-  // Shared with CsrBacktrackingStepper (routing/csr_stepper.h).
+ private:
   RouteResult result_;
   KeyId target_;
   PeerId source_ = 0;
@@ -126,7 +131,6 @@ class BacktrackingStepper : public RouteStepper {
   std::unordered_set<PeerId> visited_;
   std::unordered_set<PeerId> probed_dead_;
   std::vector<PeerId> stack_;
-  std::vector<PeerId> neighbors_;  // Scratch.
   std::vector<std::pair<uint64_t, PeerId>> ordered_;  // Scratch.
 };
 

@@ -3,34 +3,8 @@
 #include <algorithm>
 
 #include "common/string_util.h"
-#include "core/topology_snapshot.h"
 
 namespace oscar {
-namespace {
-
-/// Gap-window span over a frozen snapshot: the same successor chain as
-/// the generic loop below, but walking precomputed ring positions
-/// directly (one modular increment per hop) instead of an optional-
-/// wrapped SuccessorOf per peer. Returns the summed clockwise span of
-/// `window` successor gaps starting at `origin`, or 0 when the origin
-/// is dead or the ring is degenerate — exactly the generic outcomes.
-uint64_t GapSpanCsr(const TopologySnapshot& snap, PeerId origin,
-                    uint32_t window) {
-  const Ring& ring = snap.ring();
-  const size_t n = ring.size();
-  uint32_t pos = snap.ring_pos(origin);
-  if (n < 2 || pos == TopologySnapshot::kNotOnRing) return 0;
-  uint64_t span = 0;
-  for (uint32_t i = 0; i < window; ++i) {
-    const uint32_t next = static_cast<uint32_t>((pos + 1) % n);
-    span += ClockwiseDistance(KeyId::FromRaw(ring.at(pos).key_raw),
-                              KeyId::FromRaw(ring.at(next).key_raw));
-    pos = next;
-  }
-  return span;
-}
-
-}  // namespace
 
 double OracleSizeEstimator::Estimate(NetworkView net, PeerId origin,
                                      Rng* rng) const {
@@ -46,16 +20,18 @@ double GapSizeEstimator::Estimate(NetworkView net, PeerId origin,
   if (alive < 2) return 1.0;
   const uint32_t window =
       static_cast<uint32_t>(std::min<size_t>(window_, alive - 1));
+  // Sum the `window` successor gaps clockwise from the origin; a dead
+  // origin contributes no span and falls back to the ring size below.
   uint64_t span = 0;
-  if (net.snapshot() != nullptr) {
-    span = GapSpanCsr(*net.snapshot(), origin, window);
-  } else {
-    PeerId current = origin;
+  const uint32_t origin_pos = net.RingPos(origin);
+  if (origin_pos != NetworkView::kNotOnRing) {
+    const Ring& ring = net.ring();
+    size_t pos = origin_pos;
     for (uint32_t i = 0; i < window; ++i) {
-      const auto next = net.SuccessorOf(current);
-      if (!next.has_value()) break;
-      span += ClockwiseDistance(net.key(current), net.key(*next));
-      current = *next;
+      const size_t next = (pos + 1) % alive;
+      span += ClockwiseDistance(KeyId::FromRaw(ring.at(pos).key_raw),
+                                KeyId::FromRaw(ring.at(next).key_raw));
+      pos = next;
     }
   }
   if (span == 0) return static_cast<double>(alive);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -9,6 +12,7 @@
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
+#include "core/experiments.h"
 
 namespace oscar {
 namespace {
@@ -172,6 +176,108 @@ TEST(ThreadPoolTest, PoolGaugeResetBetweenBatches) {
   EXPECT_EQ(gauge.total(), 40u);
   EXPECT_EQ(gauge.Completed(), 40u);
   EXPECT_EQ(gauge.QueueDepth(), 0u);
+}
+
+TEST(ParseNumberTest, Uint64AcceptsPlainDecimalsOnly) {
+  uint64_t value = 7;
+  EXPECT_TRUE(ParseUint64("0", &value));
+  EXPECT_EQ(value, 0u);
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &value));
+  EXPECT_EQ(value, UINT64_MAX);
+  value = 7;
+  for (const char* bad :
+       {"", "-1", "+1", " 1", "1 ", "1x", "abc", "0x10", "1.5",
+        "18446744073709551616", "99999999999999999999999"}) {
+    EXPECT_FALSE(ParseUint64(bad, &value)) << "'" << bad << "'";
+    EXPECT_EQ(value, 7u) << "rejection must not write: '" << bad << "'";
+  }
+}
+
+TEST(ParseNumberTest, FiniteDoubleRejectsSignsAndNonFinite) {
+  double value = 0.0;
+  EXPECT_TRUE(ParseFiniteDouble("2.5", &value));
+  EXPECT_DOUBLE_EQ(value, 2.5);
+  EXPECT_TRUE(ParseFiniteDouble(".5", &value));
+  EXPECT_DOUBLE_EQ(value, 0.5);
+  EXPECT_TRUE(ParseFiniteDouble("1e3", &value));
+  EXPECT_DOUBLE_EQ(value, 1000.0);
+  EXPECT_TRUE(ParseFiniteDouble("0", &value));
+  EXPECT_DOUBLE_EQ(value, 0.0);
+  value = 7.0;
+  for (const char* bad :
+       {"", "-1", "+1", "-0", " 1", "1 ", "1x", "nan", "NaN", "inf",
+        "-inf", "infinity", "1e999", "1e-400", "."}) {
+    EXPECT_FALSE(ParseFiniteDouble(bad, &value)) << "'" << bad << "'";
+    EXPECT_EQ(value, 7.0) << "rejection must not write: '" << bad << "'";
+  }
+}
+
+/// Sets (or, for nullopt, unsets) one environment variable for the
+/// lifetime of the guard and restores the previous state afterwards, so
+/// the env-knob tests cannot leak into the rest of the suite.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, std::optional<std::string> value)
+      : name_(name) {
+    const char* old = std::getenv(name);
+    if (old != nullptr) old_ = old;
+    Apply(value);
+  }
+  ~ScopedEnv() { Apply(old_); }
+
+ private:
+  void Apply(const std::optional<std::string>& value) {
+    if (value.has_value()) {
+      setenv(name_, value->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(EnvKnobTest, ScaleFromEnvFallsBackOnMalformedKnobs) {
+  const ScopedEnv scale("OSCAR_BENCH_SCALE", std::nullopt);
+  const ScopedEnv size("OSCAR_BENCH_SIZE", std::nullopt);
+  const ScopedEnv queries("OSCAR_BENCH_QUERIES", std::nullopt);
+  const ScopedEnv seed("OSCAR_BENCH_SEED", std::nullopt);
+  const ExperimentScale defaults = ScaleFromEnv();
+  EXPECT_EQ(defaults.target_size, 600u);
+  EXPECT_EQ(defaults.queries, 600u);
+  EXPECT_EQ(defaults.seed, 42u);
+
+  // A sign, an overflow and garbage all take the fallback: strtoull
+  // used to wrap "-1" to 2^64-1 peers.
+  for (const char* bad : {"-1", "+5", "99999999999999999999999", "lots", ""}) {
+    const ScopedEnv bad_size("OSCAR_BENCH_SIZE", std::string(bad));
+    const ScopedEnv bad_queries("OSCAR_BENCH_QUERIES", std::string(bad));
+    const ScopedEnv bad_seed("OSCAR_BENCH_SEED", std::string(bad));
+    const ExperimentScale got = ScaleFromEnv();
+    EXPECT_EQ(got.target_size, defaults.target_size) << "'" << bad << "'";
+    EXPECT_EQ(got.checkpoints, defaults.checkpoints) << "'" << bad << "'";
+    EXPECT_EQ(got.queries, defaults.queries) << "'" << bad << "'";
+    EXPECT_EQ(got.seed, defaults.seed) << "'" << bad << "'";
+  }
+
+  const ScopedEnv good_size("OSCAR_BENCH_SIZE", std::string("200"));
+  const ScopedEnv good_queries("OSCAR_BENCH_QUERIES", std::string("120"));
+  const ScopedEnv good_seed("OSCAR_BENCH_SEED", std::string("43"));
+  const ExperimentScale got = ScaleFromEnv();
+  EXPECT_EQ(got.target_size, 200u);
+  EXPECT_EQ(got.checkpoints, (std::vector<size_t>{50, 100, 200}));
+  EXPECT_EQ(got.queries, 120u);
+  EXPECT_EQ(got.seed, 43u);
+}
+
+TEST(EnvKnobTest, ThreadCountFromEnvFallsBackOnMalformedValues) {
+  for (const char* bad : {"-4", "+4", "0", "257", "4x", "",
+                          "99999999999999999999999"}) {
+    const ScopedEnv threads("OSCAR_THREADS", std::string(bad));
+    EXPECT_EQ(ThreadCountFromEnv(), 1u) << "'" << bad << "'";
+  }
+  const ScopedEnv threads("OSCAR_THREADS", std::string("4"));
+  EXPECT_EQ(ThreadCountFromEnv(), 4u);
 }
 
 TEST(TablePrinterTest, AlignsColumnsAndPrintsTitle) {

@@ -1,11 +1,12 @@
-// CSR walk sampler vs the generic NetworkView path: over the same
-// topology — live Network for the generic path, frozen TopologySnapshot
-// for the CSR one — the same rng stream must produce the same
-// visited-peer sequence, the same returned sample and the same step
-// charge, per walk, on seeds 42-45, intact and 15%-crashed. This is the
-// sampler-side twin of csr_stepper_test: the guard that lets checkpoint
-// rewiring plan over snapshots without moving a sampling byte. The gap
-// size estimator's snapshot fast path is held to the same standard.
+// Backend lockstep for the random-walk sampler: over the same topology
+// — the live Network (the "generic" side below) and its frozen
+// TopologySnapshot (the "csr" side) — the same rng stream must produce
+// the same visited-peer sequence, the same returned sample and the same
+// step charge, per walk, on seeds 42-45, intact and 15%-crashed. Both
+// sides run the one walk; this guards that NetworkView resolves ring
+// positions and link rows identically per backend, which is what lets
+// checkpoint rewiring plan over snapshots without moving a sampling
+// byte. The gap size estimator is held to the same standard.
 
 #include <gtest/gtest.h>
 

@@ -1,9 +1,10 @@
-// CSR stepper vs generic NetworkView stepper: the snapshot-specialized
-// fast path must replay the generic algorithms move for move — same
-// step kinds, same hops, same dead probes, same final routes — across
-// seeds 42-45, intact and crashed. This is the per-query guard that
-// lets Router::Route swap steppers by backend without moving a harness
-// byte.
+// Backend lockstep for the route steppers: one stepper driven over a
+// live Network and one over its frozen TopologySnapshot must make the
+// same move at every step — same step kinds, same hops, same dead
+// probes, same final routes — across seeds 42-45, intact and crashed.
+// Both run the same code; what differs is only how NetworkView
+// resolves ring positions and link rows per backend, and this is the
+// per-query guard that those resolutions agree.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,7 @@
 #include "core/topology_snapshot.h"
 #include "overlay/kleinberg/kleinberg_overlay.h"
 #include "routing/backtracking_router.h"
-#include "routing/csr_stepper.h"
+#include "routing/route_stepper.h"
 #include "routing/greedy_router.h"
 
 namespace oscar {
@@ -31,31 +32,35 @@ Network LinkedNetwork(size_t n, uint64_t seed) {
   return net;
 }
 
-/// Drives both steppers over the same frozen snapshot one Step at a
-/// time and requires every observable of every step to agree.
-void ExpectLockstepEqual(RouteStepper& csr, RouteStepper& generic,
-                         const TopologySnapshot& snap, PeerId source,
-                         KeyId target, const char* label) {
-  const NetworkView view(snap);
-  csr.Start(view, source, target);
-  generic.Start(view, source, target);
-  ASSERT_EQ(csr.done(), generic.done()) << label;
+/// Drives two fresh steppers of type `Stepper`, one over the live
+/// network and one over its snapshot, one Step at a time and requires
+/// every observable of every step to agree.
+template <typename Stepper>
+void ExpectLockstepEqual(const Network& net, const TopologySnapshot& snap,
+                         PeerId source, KeyId target, const char* label) {
+  const NetworkView live_view(net);
+  const NetworkView frozen_view(snap);
+  Stepper live;
+  Stepper frozen;
+  live.Start(live_view, source, target);
+  frozen.Start(frozen_view, source, target);
+  ASSERT_EQ(live.done(), frozen.done()) << label;
   // Generous bound: both algorithms terminate well before it.
-  for (size_t i = 0; i < 8 * snap.alive_count() + 64 && !csr.done(); ++i) {
-    ASSERT_FALSE(generic.done()) << label << " step " << i;
-    const RouteStep a = csr.Step(view);
-    const RouteStep b = generic.Step(view);
+  for (size_t i = 0; i < 8 * snap.alive_count() + 64 && !live.done(); ++i) {
+    ASSERT_FALSE(frozen.done()) << label << " step " << i;
+    const RouteStep a = live.Step(live_view);
+    const RouteStep b = frozen.Step(frozen_view);
     ASSERT_EQ(static_cast<int>(a.kind), static_cast<int>(b.kind))
         << label << " step " << i;
     ASSERT_EQ(a.from, b.from) << label << " step " << i;
     ASSERT_EQ(a.to, b.to) << label << " step " << i;
     ASSERT_EQ(a.dead_probes, b.dead_probes) << label << " step " << i;
-    ASSERT_EQ(csr.current(), generic.current()) << label << " step " << i;
-    ASSERT_EQ(csr.done(), generic.done()) << label << " step " << i;
+    ASSERT_EQ(live.current(), frozen.current()) << label << " step " << i;
+    ASSERT_EQ(live.done(), frozen.done()) << label << " step " << i;
   }
-  ASSERT_TRUE(csr.done() && generic.done()) << label;
-  const RouteResult& ra = csr.result();
-  const RouteResult& rb = generic.result();
+  ASSERT_TRUE(live.done() && frozen.done()) << label;
+  const RouteResult& ra = live.result();
+  const RouteResult& rb = frozen.result();
   EXPECT_EQ(ra.success, rb.success) << label;
   EXPECT_EQ(ra.hops, rb.hops) << label;
   EXPECT_EQ(ra.wasted, rb.wasted) << label;
@@ -78,22 +83,18 @@ TEST(CsrStepperTest, LockstepEqualityAcrossSeedsAndCrashLevels) {
         const PeerId source =
             alive[static_cast<size_t>(query_rng.UniformInt(alive.size()))];
         const KeyId target = KeyId::FromUnit(query_rng.NextDouble());
-        CsrGreedyStepper csr_greedy;
-        GreedyStepper greedy;
-        ExpectLockstepEqual(csr_greedy, greedy, snap, source, target,
-                            "greedy");
-        CsrBacktrackingStepper csr_dfs;
-        BacktrackingStepper dfs;
-        ExpectLockstepEqual(csr_dfs, dfs, snap, source, target,
-                            "backtracking");
+        ExpectLockstepEqual<GreedyStepper>(net, snap, source, target,
+                                           "greedy");
+        ExpectLockstepEqual<BacktrackingStepper>(net, snap, source, target,
+                                                 "backtracking");
       }
     }
   }
 }
 
 TEST(CsrStepperTest, RouterDispatchMatchesGenericPathPerQuery) {
-  // Router::Route over a snapshot (CSR path) vs over the live network
-  // (generic path): whole-route equality, the harness-facing contract.
+  // Router::Route over a snapshot vs over the live network: whole-route
+  // equality, the harness-facing contract.
   const GreedyRouter greedy;
   const BacktrackingRouter backtracking;
   for (uint64_t seed = 42; seed <= 45; ++seed) {

@@ -66,6 +66,13 @@ TEST(FaultPlanParseTest, RejectsMalformedSpecs) {
       "partition@80+0:0.0,0.3,0.5,0.3",        // Zero duration.
       "slow@40+60:0.6,0.2,0.5",                // Multiplier < 1.
       "slow@40+60:0.6,",                       // Empty field.
+      "slow@nan+100:0.5,0.2,5",                // Non-finite time.
+      "partition@100+nan:0.0,0.3,0.5,0.3",     // Non-finite duration.
+      "slow@100+inf:0.5,0.2,5",                // Infinite duration.
+      "slow@1e999+100:0.5,0.2,5",              // Out-of-range time.
+      "slow@100+60:0.5,0.2,nan",               // Non-finite multiplier.
+      "partition@80+200:0.0,0.3,0.5,0.3,nan",  // Non-finite loss.
+      "crash@+120:0.25,0.1",                   // Signed time.
   };
   for (const char* spec : bad) {
     EXPECT_FALSE(ParseFaultPlan(spec).ok()) << spec;

@@ -35,6 +35,19 @@ std::vector<PeerId> ToVector(PeerSpan span) {
   return std::vector<PeerId>(span.begin(), span.end());
 }
 
+/// The neighbor sequence Row(id).ForEach (walk=false) or ForEachWalk
+/// (walk=true) visits, collected in visit order.
+std::vector<PeerId> RowNeighbors(NetworkView view, PeerId id, bool walk) {
+  std::vector<PeerId> out;
+  const auto push = [&out](PeerId n) { out.push_back(n); };
+  if (walk) {
+    view.Row(id).ForEachWalk(push);
+  } else {
+    view.Row(id).ForEach(push);
+  }
+  return out;
+}
+
 /// Every read the view exposes, compared between the two backends.
 void ExpectViewsAgree(const Network& net, const TopologySnapshot& snap) {
   const NetworkView live(net);
@@ -55,14 +68,13 @@ void ExpectViewsAgree(const Network& net, const TopologySnapshot& snap) {
         << "peer " << id;
     EXPECT_EQ(ToVector(live.InLinks(id)), ToVector(frozen.InLinks(id)))
         << "peer " << id;
-    std::vector<PeerId> live_neighbors, frozen_neighbors;
-    live.AppendNeighbors(id, &live_neighbors);
-    frozen.AppendNeighbors(id, &frozen_neighbors);
-    EXPECT_EQ(live_neighbors, frozen_neighbors) << "peer " << id;
-    std::vector<PeerId> live_walk, frozen_walk;
-    live.AppendWalkNeighbors(id, &live_walk);
-    frozen.AppendWalkNeighbors(id, &frozen_walk);
-    EXPECT_EQ(live_walk, frozen_walk) << "peer " << id;
+    EXPECT_EQ(live.RingPos(id), frozen.RingPos(id)) << "peer " << id;
+    EXPECT_EQ(RowNeighbors(live, id, /*walk=*/false),
+              RowNeighbors(frozen, id, /*walk=*/false))
+        << "peer " << id;
+    EXPECT_EQ(RowNeighbors(live, id, /*walk=*/true),
+              RowNeighbors(frozen, id, /*walk=*/true))
+        << "peer " << id;
   }
   // Ring queries: ownership and clockwise order statistics.
   for (int i = 0; i < 64; ++i) {

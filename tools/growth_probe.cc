@@ -32,6 +32,7 @@
 #endif
 
 #include "common/audit.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/experiments.h"
 #include "core/simulation.h"
@@ -70,13 +71,16 @@ long PeakRssKb() {
 #endif
 }
 
+/// OSCAR_JOIN_BATCH; unset, signed, garbage or beyond-uint32 values
+/// fall back to 0 (the scale's default join path).
 uint32_t JoinBatchFromEnv() {
   const char* value = std::getenv("OSCAR_JOIN_BATCH");
-  if (value == nullptr || *value == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long parsed = std::strtoul(value, &end, 10);
-  return (end == nullptr || *end != '\0') ? 0
-                                           : static_cast<uint32_t>(parsed);
+  uint64_t parsed = 0;
+  if (value == nullptr || !oscar::ParseUint64(value, &parsed) ||
+      parsed > UINT32_MAX) {
+    return 0;
+  }
+  return static_cast<uint32_t>(parsed);
 }
 
 }  // namespace

@@ -83,24 +83,6 @@ bool FlagValue(const std::string& arg, const std::string& flag,
   return true;
 }
 
-bool ParseUint(const std::string& text, uint64_t* out) {
-  if (text.empty() || text[0] == '-' || text[0] == '+') return false;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = parsed;
-  return true;
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double parsed = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  *out = parsed;
-  return true;
-}
-
 std::vector<std::string> SplitCommaList(const std::string& list) {
   std::vector<std::string> out;
   size_t start = 0;
@@ -238,55 +220,55 @@ int RunCli(const std::vector<std::string>& args) {
     } else if (arg == "--bench-json") {
       bench_json = true;
     } else if (FlagValue(arg, "--lookups", &value)) {
-      if (!ParseUint(value, &number) || number == 0) {
+      if (!ParseUint64(value, &number) || number == 0) {
         return RejectUsage(StrCat("--lookups wants a positive integer, "
                                   "got '", value, "'"));
       }
       serve.lookups = static_cast<size_t>(number);
     } else if (FlagValue(arg, "--concurrency", &value)) {
-      if (!ParseUint(value, &number) || number == 0) {
+      if (!ParseUint64(value, &number) || number == 0) {
         return RejectUsage(StrCat("--concurrency wants a positive "
                                   "integer, got '", value, "'"));
       }
       serve.concurrency = static_cast<size_t>(number);
     } else if (FlagValue(arg, "--hot-keys", &value)) {
-      if (!ParseUint(value, &number)) {
+      if (!ParseUint64(value, &number)) {
         return RejectUsage(StrCat("--hot-keys wants a non-negative "
                                   "integer, got '", value, "'"));
       }
       serve.hot_keys = static_cast<size_t>(number);
     } else if (FlagValue(arg, "--queue-cap", &value)) {
-      if (!ParseUint(value, &number) || number == 0) {
+      if (!ParseUint64(value, &number) || number == 0) {
         return RejectUsage(StrCat("--queue-cap wants a positive integer, "
                                   "got '", value, "'"));
       }
       serve.admission.queue_capacity = static_cast<size_t>(number);
     } else if (FlagValue(arg, "--peer-cap", &value)) {
-      if (!ParseUint(value, &number) || number == 0) {
+      if (!ParseUint64(value, &number) || number == 0) {
         return RejectUsage(StrCat("--peer-cap wants a positive integer, "
                                   "got '", value, "'"));
       }
       serve.admission.per_peer_cap = static_cast<size_t>(number);
     } else if (FlagValue(arg, "--burst", &value)) {
-      if (!ParseDouble(value, &real) || real <= 0.0) {
+      if (!ParseFiniteDouble(value, &real) || real <= 0.0) {
         return RejectUsage(StrCat("--burst wants a positive number, "
                                   "got '", value, "'"));
       }
       serve.burst = real;
     } else if (FlagValue(arg, "--hop-ms", &value)) {
-      if (!ParseDouble(value, &real) || real <= 0.0) {
+      if (!ParseFiniteDouble(value, &real) || real <= 0.0) {
         return RejectUsage(StrCat("--hop-ms wants a positive number, "
                                   "got '", value, "'"));
       }
       serve.hop_ms = real;
     } else if (FlagValue(arg, "--zipf", &value)) {
-      if (!ParseDouble(value, &real) || real <= 0.0) {
+      if (!ParseFiniteDouble(value, &real) || real <= 0.0) {
         return RejectUsage(StrCat("--zipf wants a positive exponent, "
                                   "got '", value, "'"));
       }
       serve.zipf_exponent = real;
     } else if (FlagValue(arg, "--timeout-ms", &value)) {
-      if (!ParseDouble(value, &real) || real <= 0.0) {
+      if (!ParseFiniteDouble(value, &real) || real <= 0.0) {
         return RejectUsage(StrCat("--timeout-ms wants a positive number, "
                                   "got '", value, "'"));
       }
@@ -298,7 +280,7 @@ int RunCli(const std::vector<std::string>& args) {
       }
       serve.offered_rates_per_s.clear();
       for (const std::string& part : parts) {
-        if (!ParseDouble(part, &real) || real < 0.0) {
+        if (!ParseFiniteDouble(part, &real) || real < 0.0) {
           return RejectUsage(StrCat("--rates wants non-negative numbers, "
                                     "got '", part, "'"));
         }
@@ -319,7 +301,7 @@ int RunCli(const std::vector<std::string>& args) {
       }
       trace_format = value;
     } else if (FlagValue(arg, "--queue-cadence-ms", &value)) {
-      if (!ParseDouble(value, &real) || real < 0.0) {
+      if (!ParseFiniteDouble(value, &real) || real < 0.0) {
         return RejectUsage(StrCat("--queue-cadence-ms wants a non-negative "
                                   "number, got '", value, "'"));
       }

@@ -42,7 +42,6 @@
 // infrastructure error (unknown scenario, experiment Status error).
 
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -195,14 +194,10 @@ int RunCli(const std::vector<std::string>& args) {
       } else {
         value = arg.substr(sizeof("--queue-cadence-ms=") - 1);
       }
-      char* end = nullptr;
-      const double parsed =
-          value.empty() ? -1.0 : std::strtod(value.c_str(), &end);
-      if (value.empty() || end == nullptr || *end != '\0' || parsed < 0.0) {
+      if (!ParseFiniteDouble(value, &queue_cadence_ms)) {
         return RejectUsage(StrCat("--queue-cadence-ms wants a non-negative "
                                   "number, got '", value, "'"));
       }
-      queue_cadence_ms = parsed;
     } else if (arg == "--maintenance-cadence-ms" ||
                arg.rfind("--maintenance-cadence-ms=", 0) == 0) {
       std::string value;
@@ -214,14 +209,10 @@ int RunCli(const std::vector<std::string>& args) {
       } else {
         value = arg.substr(sizeof("--maintenance-cadence-ms=") - 1);
       }
-      char* end = nullptr;
-      const double parsed =
-          value.empty() ? -1.0 : std::strtod(value.c_str(), &end);
-      if (value.empty() || end == nullptr || *end != '\0' || parsed < 0.0) {
+      if (!ParseFiniteDouble(value, &maintenance_cadence_ms)) {
         return RejectUsage(StrCat("--maintenance-cadence-ms wants a "
                                   "non-negative number, got '", value, "'"));
       }
-      maintenance_cadence_ms = parsed;
     } else if (arg == "--fault-plan" || arg.rfind("--fault-plan=", 0) == 0) {
       std::string value;
       if (arg == "--fault-plan") {

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
@@ -54,15 +53,6 @@ bool FlagValue(const std::string& arg, const std::string& flag,
   const std::string prefix = flag + "=";
   if (arg.rfind(prefix, 0) != 0) return false;
   *value = arg.substr(prefix.size());
-  return true;
-}
-
-bool ParseUint(const std::string& text, uint64_t* out) {
-  if (text.empty() || text[0] == '-' || text[0] == '+') return false;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = parsed;
   return true;
 }
 
@@ -284,13 +274,13 @@ int RunCli(const std::vector<std::string>& args) {
     } else if (arg == "--no-heatmap") {
       heatmap = false;
     } else if (FlagValue(arg, "--time-buckets", &value)) {
-      if (!ParseUint(value, &time_buckets) || time_buckets == 0 ||
+      if (!ParseUint64(value, &time_buckets) || time_buckets == 0 ||
           time_buckets > 512) {
         return RejectUsage(StrCat("--time-buckets wants 1..512, got '",
                                   value, "'"));
       }
     } else if (FlagValue(arg, "--peer-buckets", &value)) {
-      if (!ParseUint(value, &peer_buckets) || peer_buckets == 0 ||
+      if (!ParseUint64(value, &peer_buckets) || peer_buckets == 0 ||
           peer_buckets > 256) {
         return RejectUsage(StrCat("--peer-buckets wants 1..256, got '",
                                   value, "'"));
