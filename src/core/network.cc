@@ -79,23 +79,6 @@ std::vector<PeerId> Network::AlivePeers() const {
   return out;
 }
 
-std::optional<PeerId> Network::RingNeighbor(PeerId id, bool clockwise) const {
-  if (!alive_[id] || ring_.size() < 2) return std::nullopt;
-  const auto index = ring_.IndexOf(keys_[id], id);
-  if (!index.has_value()) return std::nullopt;
-  const size_t n = ring_.size();
-  const size_t next = clockwise ? (*index + 1) % n : (*index + n - 1) % n;
-  return ring_.at(next).id;
-}
-
-std::optional<PeerId> Network::SuccessorOf(PeerId id) const {
-  return RingNeighbor(id, /*clockwise=*/true);
-}
-
-std::optional<PeerId> Network::PredecessorOf(PeerId id) const {
-  return RingNeighbor(id, /*clockwise=*/false);
-}
-
 bool Network::AddLongLink(PeerId from, PeerId to) {
   if (from == to) return false;
   if (!alive_[from] || !alive_[to]) return false;

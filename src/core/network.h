@@ -126,11 +126,6 @@ class Network {
   /// Alive peers in ring (clockwise key) order.
   std::vector<PeerId> AlivePeers() const;
 
-  /// Next/previous alive peer on the ring; nullopt when `id` is the only
-  /// alive peer (or dead). For a 1-peer ring a peer has no neighbors.
-  std::optional<PeerId> SuccessorOf(PeerId id) const;
-  std::optional<PeerId> PredecessorOf(PeerId id) const;
-
   /// Adds a long link from -> to. Fails (returns false) on self-links,
   /// dead endpoints, duplicates, and when `to` is at its in-degree cap
   /// or `from` at its out-degree cap.
@@ -192,8 +187,6 @@ class Network {
   // mutation journal below to repair only the peers touched since the
   // last restore.
   friend class TopologySnapshot;
-
-  std::optional<PeerId> RingNeighbor(PeerId id, bool clockwise) const;
 
   /// Appends one row to every parallel array (no ring insert).
   PeerId AppendPeer(KeyId key, DegreeCaps caps);

@@ -123,9 +123,8 @@ class NetworkView {
     const uint32_t pos = RingPos(id);
     if (pos != kNotOnRing) {
       const Ring& r = ring();
-      const size_t n = r.size();
-      row.succ = r.at((pos + 1) % n).id;
-      row.pred = r.at((pos + n - 1) % n).id;
+      row.succ = RingNeighborAt(r, pos, /*clockwise=*/true);
+      row.pred = RingNeighborAt(r, pos, /*clockwise=*/false);
       row.ring_neighbors = row.pred != row.succ ? 2 : 1;
     }
     row.out = OutLinks(id);
@@ -141,13 +140,12 @@ class NetworkView {
   std::optional<PeerId> SuccessorOf(PeerId id) const {
     const uint32_t pos = RingPos(id);
     if (pos == kNotOnRing) return std::nullopt;
-    return ring().at((pos + 1) % ring().size()).id;
+    return RingNeighborAt(ring(), pos, /*clockwise=*/true);
   }
   std::optional<PeerId> PredecessorOf(PeerId id) const {
     const uint32_t pos = RingPos(id);
     if (pos == kNotOnRing) return std::nullopt;
-    const size_t n = ring().size();
-    return ring().at((pos + n - 1) % n).id;
+    return RingNeighborAt(ring(), pos, /*clockwise=*/false);
   }
 
   /// Alive peers in ring (clockwise key) order — composed from the
@@ -160,6 +158,13 @@ class NetworkView {
   }
 
  private:
+  /// The peer one step clockwise (or counter-clockwise) of ring
+  /// position `pos`; `pos` must be a RingPos other than kNotOnRing.
+  static PeerId RingNeighborAt(const Ring& r, uint32_t pos, bool clockwise) {
+    const size_t n = r.size();
+    return r.at(clockwise ? (pos + 1) % n : (pos + n - 1) % n).id;
+  }
+
   const Network* net_ = nullptr;
   const TopologySnapshot* snap_ = nullptr;
 };

@@ -88,8 +88,8 @@ using RouteStepperPtr = std::unique_ptr<RouteStepper>;
 
 /// The GreedyRouter algorithm, one hop per Step (capacity-aware band
 /// relaxation and lazy dead-probe charging included). Final so a
-/// caller holding the concrete type (LoadGenerator's per-worker
-/// steppers) gets direct, inlinable calls.
+/// caller holding the concrete type (LoadGenerator's one stepper per
+/// lookup, on the worker's stack) gets direct, inlinable calls.
 class GreedyStepper final : public RouteStepper {
  public:
   void Start(NetworkView net, PeerId source, KeyId target) override;

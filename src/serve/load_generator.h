@@ -4,9 +4,10 @@
 // 1. ROUTE (wall-clock parallel, virtual-time free). Every lookup's
 //    (source, target key) pair is drawn from its own counter-forked
 //    rng stream — Rng::Fork(seed, stream, lookup) — and routed over
-//    the shared snapshot by a per-worker GreedyStepper (the same one
-//    every router uses, reading the snapshot's flat arrays through
-//    NetworkView) on the common/thread_pool worker pool. A frozen
+//    the shared snapshot by one GreedyStepper per lookup, on the
+//    worker's stack (the same stepper every router uses, reading the
+//    snapshot's flat arrays through NetworkView), on the
+//    common/thread_pool worker pool. A frozen
 //    snapshot is read-only, so the fan-out is embarrassingly parallel
 //    and, because every result lands in its own per-index slot and the
 //    per-lookup streams

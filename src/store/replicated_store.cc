@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/network_view.h"
+
 namespace oscar {
 
 ReplicatedStore::ReplicatedStore(uint32_t replicas)
@@ -10,12 +12,13 @@ ReplicatedStore::ReplicatedStore(uint32_t replicas)
 std::vector<PeerId> ReplicatedStore::PlacementFor(const Network& net,
                                                   KeyId key) const {
   std::vector<PeerId> holders;
-  const auto owner = net.OwnerOf(key);
+  const NetworkView view(net);
+  const auto owner = view.OwnerOf(key);
   if (!owner.has_value()) return holders;
   PeerId current = *owner;
   holders.push_back(current);
   while (holders.size() < replicas_) {
-    const auto next = net.SuccessorOf(current);
+    const auto next = view.SuccessorOf(current);
     if (!next.has_value() || *next == holders.front()) break;  // Wrapped.
     holders.push_back(*next);
     current = *next;

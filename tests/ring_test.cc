@@ -5,6 +5,7 @@
 
 #include "core/key_id.h"
 #include "core/network.h"
+#include "core/network_view.h"
 
 namespace oscar {
 namespace {
@@ -88,8 +89,8 @@ TEST(NetworkTest, OwnerOfOnePeerNetwork) {
     EXPECT_EQ(*net.OwnerOf(KeyId::FromUnit(u)), only);
   }
   // And has no ring neighbors.
-  EXPECT_FALSE(net.SuccessorOf(only).has_value());
-  EXPECT_FALSE(net.PredecessorOf(only).has_value());
+  EXPECT_FALSE(NetworkView(net).SuccessorOf(only).has_value());
+  EXPECT_FALSE(NetworkView(net).PredecessorOf(only).has_value());
 }
 
 TEST(NetworkTest, OwnerOfTwoPeerNetworkSplitsByDistance) {
@@ -104,8 +105,8 @@ TEST(NetworkTest, OwnerOfTwoPeerNetworkSplitsByDistance) {
   EXPECT_EQ(*net.OwnerOf(KeyId::FromUnit(0.99)), at_80);
   EXPECT_EQ(*net.OwnerOf(KeyId::FromUnit(0.05)), at_20);
   // Each is the other's successor and predecessor.
-  EXPECT_EQ(*net.SuccessorOf(at_20), at_80);
-  EXPECT_EQ(*net.PredecessorOf(at_20), at_80);
+  EXPECT_EQ(*NetworkView(net).SuccessorOf(at_20), at_80);
+  EXPECT_EQ(*NetworkView(net).PredecessorOf(at_20), at_80);
 }
 
 TEST(NetworkTest, OwnerOfEmptyNetworkIsNull) {
